@@ -184,6 +184,16 @@ inline experiment::ParamSpec binning_param() {
       {"fixed", "adaptive", "sturges"});
 }
 
+/// The simulator-core count the cloud scenarios expose as
+/// --param sim_shards=N (CloudConfig::sim_shards); one spec so the range
+/// and wording cannot drift between scenarios.
+inline experiment::ParamSpec sim_shards_param() {
+  const experiment::ParamSpec spec{
+      "sim_shards", "simulator cores (output is byte-identical across values)",
+      1.0, 1.0};
+  return spec.with_int_range(1, 64);
+}
+
 /// The enum knob policy-sweepable scenarios expose as --param policy=...;
 /// choices come from hypervisor::policy_choices() so the list cannot drift
 /// from the backends that actually exist. The default is "stopwatch":

@@ -147,11 +147,7 @@ Result run(const ScenarioContext& ctx) {
                ParamSpec{"rate_count",
                          "number of load levels from {25,50,100,200,400}",
                          5.0, 2.0}.with_int_range(1, 5),
-               ParamSpec{"sim_shards", "simulator cores (output is "
-                                       "byte-identical across values)",
-                         1.0, 1.0}
-                   .with_int_range(1, 64),
-               policy_param()},
+               sim_shards_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

@@ -128,11 +128,7 @@ Result run(const ScenarioContext& ctx) {
                          2.0}.with_int_range(1, 5),
                ParamSpec{"runs_per_app", "runs averaged per app", 5.0, 1.0}
                    .with_int_range(1, 100),
-               ParamSpec{"sim_shards", "simulator cores (output is "
-                                       "byte-identical across values)",
-                         1.0, 1.0}
-                   .with_int_range(1, 64),
-               policy_param()},
+               sim_shards_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

@@ -298,11 +298,7 @@ Result run(const ScenarioContext& ctx) {
              .with_int_range(1, 100),
          ParamSpec{"bins", "observation cells for the estimators", 12.0}
              .with_int_range(4, 128),
-         ParamSpec{"sim_shards", "simulator cores (output is byte-identical "
-                                 "across values)",
-                   1.0, 1.0}
-             .with_int_range(1, 64),
-         binning_param(), policy_param()},
+         sim_shards_param(), binning_param(), policy_param()},
     .deterministic = true,
     .run = run,
 }};

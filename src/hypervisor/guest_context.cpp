@@ -9,6 +9,13 @@
 namespace stopwatch::hypervisor {
 
 namespace {
+/// Guest-caused VM exits occur at least every this many instructions.
+constexpr std::uint64_t kExitIntervalInstr = 100'000;
+/// PIT period (250 Hz in the paper's guests).
+constexpr Duration kTimerPeriod = Duration::micros(4000);
+/// Initial virtual-clock slope (ns of virtual time per instruction).
+constexpr double kInitialSlope = 1.0;
+
 std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
@@ -30,8 +37,6 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
       policy_(make_policy(cfg.policy)),
       clock_(policy_->clock_mode(), [m = machine_] { return m->local_clock(); }) {
   SW_EXPECTS(cfg_.replica_count >= 1);
-  SW_EXPECTS(cfg_.exit_interval_instr >= 1'000);
-  SW_EXPECTS(cfg_.initial_slope > 0.0);
   SW_EXPECTS(services_.send_frame != nullptr);
   if (policy_->replicated() && cfg_.replica_count > 1) {
     SW_EXPECTS(services_.control_multicast != nullptr);
@@ -45,13 +50,13 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
 void GuestContext::start(VirtTime start) {
   SW_EXPECTS(!running_);
   running_ = true;
-  clock_.initialize(start, cfg_.initial_slope);
+  clock_.initialize(start, kInitialSlope);
   guest_->boot();
 
   last_exit_instr_ = 0;
   last_exit_clock_ns_ = clock_.now(0).ns;
-  next_periodic_exit_ = cfg_.exit_interval_instr;
-  next_timer_tick_ns_ = last_exit_clock_ns_ + cfg_.timer_period.ns;
+  next_periodic_exit_ = kExitIntervalInstr;
+  next_timer_tick_ns_ = last_exit_clock_ns_ + kTimerPeriod.ns;
   epoch_start_local_ = machine_->local_clock();
 
   // Launch the beacon loop used for fastest-replica throttling. The loop
@@ -126,7 +131,7 @@ void GuestContext::on_guest_exit() {
   const std::uint64_t exit_instr = guest_->instr();
   last_exit_instr_ = exit_instr;
   last_exit_clock_ns_ = clock_.now(exit_instr).ns;
-  next_periodic_exit_ = exit_instr + cfg_.exit_interval_instr;
+  next_periodic_exit_ = exit_instr + kExitIntervalInstr;
 
   process_io_ops();
   if (policy_->epoch_instructions() > 0) {
@@ -202,7 +207,7 @@ void GuestContext::inject_due_interrupts() {
   while (next_timer_tick_ns_ <= now_ns) {
     guest_->inject_timer_tick();
     ++stats_.timer_injections;
-    next_timer_tick_ns_ += cfg_.timer_period.ns;
+    next_timer_tick_ns_ += kTimerPeriod.ns;
   }
 
   // Guest soft timers (deterministic: driven by the guest clock).

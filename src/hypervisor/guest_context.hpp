@@ -57,12 +57,6 @@ struct GuestContextConfig {
   int replica_count{3};
   /// Keep per-packet protocol traces (first 32 inbound packets).
   bool record_packet_traces{false};
-  /// Guest-caused VM exits occur at least every this many instructions.
-  std::uint64_t exit_interval_instr{100'000};
-  /// PIT period (250 Hz in the paper's guests).
-  Duration timer_period{Duration::micros(4000)};
-  /// Initial virtual-clock slope (ns of virtual time per instruction).
-  double initial_slope{1.0};
 };
 
 /// Timeline of one inbound packet through the StopWatch protocol (Fig. 2/3).

@@ -5,6 +5,12 @@
 #include "common/contracts.hpp"
 
 namespace stopwatch::workload {
+namespace {
+
+/// Probability a read misses the page cache and touches disk.
+constexpr double kReadMissRate = 0.25;
+
+}  // namespace
 
 std::vector<NfsMixEntry> paper_nfs_mix() {
   return {
@@ -50,7 +56,7 @@ void NfsServerProgram::handle(NodeId peer, std::uint32_t flow,
         });
         return;
       case NfsOp::kRead: {
-        const bool miss = api_->det_rng().chance(cfg_.read_miss_rate);
+        const bool miss = api_->det_rng().chance(kReadMissRate);
         if (miss) {
           api_->disk_read(cfg_.read_bytes, [this, peer, flow, msg_id, op] {
             respond(peer, flow, msg_id, cfg_.read_bytes + 128, op);

@@ -51,8 +51,6 @@ class NfsServerProgram final : public vm::GuestProgram {
     std::uint64_t metadata_instr{120'000};
     std::uint32_t read_bytes{8192};
     std::uint32_t write_bytes{8192};
-    /// Probability a read misses the page cache and touches disk.
-    double read_miss_rate{0.25};
     /// Write-back caching: acknowledge writes once queued (the disk write
     /// still happens and still generates its completion interrupt).
     bool async_writes{true};

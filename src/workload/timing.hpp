@@ -55,16 +55,10 @@ class AttackerProbeProgram final : public vm::GuestProgram {
 class VictimServerProgram final : public vm::GuestProgram {
  public:
   struct Config {
-    /// Virtual-time burst / idle-gap durations.
-    Duration burst{Duration::millis(60)};
-    Duration gap{Duration::millis(25)};
-    /// Work unit within a burst.
-    std::uint64_t unit_instr{2'000'000};
     std::uint32_t disk_bytes{64 * 1024};
     double disk_probability{0.30};
     /// Response packets emitted per work unit.
     int packets_per_unit{2};
-    std::uint32_t packet_bytes{1400};
     NodeId sink{};
   };
 

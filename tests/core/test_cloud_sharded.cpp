@@ -3,8 +3,10 @@
 // a sharded cloud against the sequential run of the same seed.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,30 @@ class EchoProgram final : public vm::GuestProgram {
     reply.size_bytes = 100;
     api.send_packet(reply);
   }
+};
+
+/// Sends one data packet straight to another guest (when given one) on
+/// its first timer tick, and counts the packets it receives.
+class PeerProgram final : public vm::GuestProgram {
+ public:
+  explicit PeerProgram(std::optional<NodeId> peer = std::nullopt)
+      : peer_(peer) {}
+  void on_boot(vm::GuestApi&) override {}
+  void on_timer_tick(vm::GuestApi& api, std::uint64_t tick) override {
+    if (tick != 1 || !peer_) return;
+    net::Packet pkt;
+    pkt.dst = *peer_;
+    pkt.kind = net::PacketKind::kData;
+    pkt.seq = 1;
+    pkt.size_bytes = 100;
+    api.send_packet(pkt);
+  }
+  void on_packet(vm::GuestApi&, const net::Packet&) override { ++received_; }
+  [[nodiscard]] int received() const { return received_; }
+
+ private:
+  std::optional<NodeId> peer_;
+  int received_{0};
 };
 
 CloudConfig sharded_config(int shards, std::uint64_t seed = 42) {
@@ -192,6 +218,62 @@ TEST(CloudSharded, EgressAndExternalsLeaveCoreZero) {
   const NodeId late =
       cloud.add_external_node("late", [](const net::Packet&) {});
   EXPECT_EQ(cloud.network().node_owner(late), egress);
+}
+
+TEST(CloudSharded, GuestTrafficToAVmOnAnotherShardThrowsNamingThePair) {
+  // The declared lookahead is hub-and-spoke around the egress shard: it
+  // reaches worker shards only over the slow client link, and worker
+  // shards never exchange traffic. A guest sending to a VM on another
+  // worker shard breaks that shape: its output leaves the egress gate
+  // for the receiver over the datacenter fabric, well inside the
+  // receiver's granted window. The per-entry contract must name that
+  // (egress, receiver) pair instead of reordering events. With three
+  // cores the sender, the receiver and the egress gate each sit on their
+  // own core.
+  const auto run = [](int shards,
+                      const std::function<void(Cloud&, VmHandle)>& check) {
+    CloudConfig cfg = sharded_config(shards);
+    cfg.machine_count = 6;
+    Cloud cloud(cfg);
+    const VmHandle receiver = cloud.add_vm(
+        "receiver", [] { return std::make_unique<PeerProgram>(); }, {3, 4, 5});
+    const NodeId peer = cloud.vm_addr(receiver);
+    const VmHandle sender = cloud.add_vm(
+        "sender", [peer] { return std::make_unique<PeerProgram>(peer); },
+        {0, 1, 2});
+    cloud.activate_sharded({sender, receiver});
+    cloud.start();
+    check(cloud, receiver);
+  };
+
+  run(3, [](Cloud& cloud, VmHandle) {
+    const topology::ShardPlan& plan = cloud.topology().shard_plan();
+    const int sender_shard = plan.shard_of_machine(0);
+    const int from = plan.egress_shard();
+    const int to = plan.shard_of_machine(3);
+    ASSERT_NE(sender_shard, to);
+    ASSERT_NE(sender_shard, from);
+    ASSERT_NE(to, from);
+    try {
+      cloud.run_for(Duration::millis(50));
+      ADD_FAILURE() << "expected a ContractViolation";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      const std::string pair = "from shard " + std::to_string(from) +
+                               " to shard " + std::to_string(to);
+      EXPECT_NE(what.find(pair), std::string::npos) << what;
+    }
+  });
+
+  run(1, [](Cloud& cloud, VmHandle receiver) {
+    EXPECT_NO_THROW(cloud.run_for(Duration::millis(50)));
+    cloud.halt_all();
+    for (int r = 0; r < cloud.replicas_of(receiver); ++r) {
+      const auto& program =
+          static_cast<PeerProgram&>(cloud.replica(receiver, r).program());
+      EXPECT_EQ(program.received(), 1);
+    }
+  });
 }
 
 TEST(CloudSharded, RejectsNonPositiveShardCount) {
