@@ -43,6 +43,12 @@ double time_ns_per_op(std::uint64_t iters, Body&& body) {
 /// Defeats dead-code elimination of a computed value.
 volatile double g_sink;
 
+// The profiling-overhead probe's profiler: installed, never armed. Under
+// --jobs, other scenarios' scopes read the process-wide pointer while the
+// probe has it installed, so it must be constructed before any thread
+// starts and live until exit.
+obs::Profiler g_idle_profiler;
+
 Result run(const ScenarioContext& ctx) {
   const auto iters = static_cast<std::uint64_t>(ctx.param("iterations"));
 
@@ -181,7 +187,6 @@ Result run(const ScenarioContext& ctx) {
   // check) against no profiler installed (the pointer load alone). Same
   // alternating paired-ratio scheme as above; nightly gates <= 1.02.
   {
-    obs::Profiler idle;  // installed, never armed
     obs::Profiler* const previous = obs::active_profiler();
     const std::uint64_t reps = std::max<std::uint64_t>(1, iters / 2000);
     const auto loop = [&](obs::Profiler* installed) {
@@ -207,9 +212,9 @@ Result run(const ScenarioContext& ctx) {
       double disarmed;
       if (round % 2 == 0) {
         plain = best_of(nullptr);
-        disarmed = best_of(&idle);
+        disarmed = best_of(&g_idle_profiler);
       } else {
-        disarmed = best_of(&idle);
+        disarmed = best_of(&g_idle_profiler);
         plain = best_of(nullptr);
       }
       ratios.push_back(disarmed / plain);

@@ -38,7 +38,7 @@ namespace stopwatch::obs {
 /// The static phase registry. Alphabetical; serialization order is this
 /// order. Adding a phase is an additive schema change — append-site and
 /// README table should move together.
-inline constexpr std::array<const char*, 13> kProfPhases = {
+inline constexpr std::array<const char*, 14> kProfPhases = {
     "bench.probe",          // microbench overhead-probe scope
     "cloud.run",            // Cloud::run_for / run_until body
     "leakage.estimate",     // binning + MI estimation over observation logs
@@ -48,7 +48,8 @@ inline constexpr std::array<const char*, 13> kProfPhases = {
     "scenario.drive",       // scenario-side load/drive scheduling
     "scenario.placement",   // scenario-side placement construction + checks
     "scenario.setup",       // scenario-side topology build + VM creation
-    "sharded.barrier_wait", // window submit + wait for worker cores
+    "sharded.barrier_wait", // caller's wait for worker cores after its own
+    "sharded.core_run",     // one core's window, on the thread that owns it
     "sharded.merge",        // cross-shard lane drain + deterministic merge
     "sim.due_fallback",     // sorted-due -> heap fallback flip
     "sim.harvest",          // wheel cursor advance + level-0 bulk harvest

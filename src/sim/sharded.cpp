@@ -1,17 +1,48 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
 
 namespace stopwatch::sim {
+
+namespace {
+
+// Polls a waiter makes before parking (about 80 us on a Xeon whose pause
+// takes ~19 ns): a window's handoff is usually shorter than a futex
+// park/wake round trip, and a window lasts hundreds of microseconds.
+constexpr int kSpinPolls = 4096;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until `done(value of a)` holds: a bounded spin, then
+/// std::atomic::wait. Returns the value that satisfied `done`.
+template <typename Done>
+std::uint32_t spin_then_park(const std::atomic<std::uint32_t>& a,
+                             Done done) {
+  std::uint32_t v = a.load(std::memory_order_acquire);
+  for (int i = 0; i < kSpinPolls && !done(v); ++i) {
+    cpu_relax();
+    v = a.load(std::memory_order_acquire);
+  }
+  while (!done(v)) {
+    a.wait(v, std::memory_order_acquire);
+    v = a.load(std::memory_order_acquire);
+  }
+  return v;
+}
+
+}  // namespace
 
 ShardedSimulator::ShardedSimulator(ShardedConfig cfg) : cfg_(cfg) {
   SW_EXPECTS(cfg_.shards >= 1);
@@ -23,19 +54,60 @@ ShardedSimulator::ShardedSimulator(ShardedConfig cfg) : cfg_(cfg) {
   const auto k = static_cast<std::size_t>(cfg_.shards);
   lanes_.resize(k * k);
   lane_seq_.assign(k, 0);
-  if (cfg_.shards > 1 && cfg_.threads != 1) {
+  errors_.resize(k);
+  if (cfg_.shards > 1) {
     // hardware_concurrency() == 0 means "unknown" — assume enough cores.
-    const std::size_t host =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency() == 0
-                                     ? k
-                                     : std::thread::hardware_concurrency());
-    const std::size_t threads =
-        cfg_.threads == 0 ? std::min(k, host) : cfg_.threads;
-    if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+    const std::size_t host = std::thread::hardware_concurrency() == 0
+                                 ? k
+                                 : std::thread::hardware_concurrency();
+    threads_ = std::min(k, cfg_.threads == 0 ? host : cfg_.threads);
+  }
+  try {
+    for (std::size_t w = 1; w < threads_; ++w) {
+      workers_.emplace_back([this, w] { worker_loop(w); });
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
   }
 }
 
-ShardedSimulator::~ShardedSimulator() = default;
+ShardedSimulator::~ShardedSimulator() { stop_workers(); }
+
+void ShardedSimulator::stop_workers() {
+  stop_ = true;
+  phase_.fetch_add(1, std::memory_order_release);
+  phase_.notify_all();
+  for (auto& worker : workers_) worker.join();
+}
+
+void ShardedSimulator::worker_loop(std::size_t thread) {
+  std::uint32_t seen = 0;
+  for (;;) {
+    seen = spin_then_park(phase_,
+                          [seen](std::uint32_t p) { return p != seen; });
+    if (stop_) return;
+    run_owned_cores(thread);
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      remaining_.notify_one();
+    }
+  }
+}
+
+void ShardedSimulator::run_owned_cores(std::size_t thread) {
+  for (std::size_t s = thread; s < cores_.size(); s += threads_) {
+    if (!run_mask_[s]) continue;
+    OBS_PROF_SCOPE("sharded.core_run");
+    // Callbacks may throw (contract violations): catch per core and
+    // rethrow on the calling thread after the barrier — exceptions must
+    // not escape a worker thread.
+    try {
+      cores_[s]->run_until(RealTime::nanos(run_to_scratch_[s]));
+    } catch (...) {
+      errors_[s] = std::current_exception();
+    }
+  }
+}
 
 void ShardedSimulator::set_window(Duration w) {
   SW_EXPECTS(!running_);
@@ -171,49 +243,36 @@ bool ShardedSimulator::merge_lanes() {
   return any_due;
 }
 
-void ShardedSimulator::run_window(const std::vector<std::int64_t>& run_to_ns,
-                                  const std::vector<char>& mask) {
-  running_ = true;
-  // Callbacks may throw (contract violations): catch per core, re-raise
-  // on the main thread after the barrier — exceptions must not escape
-  // into the pool's workers.
-  std::vector<std::exception_ptr> errors(cores_.size());
+void ShardedSimulator::run_window() {
   std::size_t ran = 0;
-  for (const char m : mask) ran += static_cast<std::size_t>(m);
-  if (pool_ && ran > 1) {
-    // Submit + wait is the barrier: on the main thread this scope is the
-    // time spent waiting for the slowest core of the window.
+  bool workers_needed = false;
+  for (std::size_t s = 0; s < cores_.size(); ++s) {
+    if (!run_mask_[s]) continue;
+    ++ran;
+    workers_needed = workers_needed || s % threads_ != 0;
+  }
+  running_ = true;
+  if (workers_needed) {
+    // Every worker checks in, with or without cores to run this window.
+    remaining_.store(static_cast<std::uint32_t>(threads_ - 1),
+                     std::memory_order_relaxed);
+    phase_.fetch_add(1, std::memory_order_release);
+    phase_.notify_all();
+  }
+  run_owned_cores(0);
+  if (workers_needed) {
+    // Only the wait left after this thread's own cores: the window's
+    // critical-path wait for the slowest worker.
     OBS_PROF_SCOPE("sharded.barrier_wait");
-    for (std::size_t s = 0; s < cores_.size(); ++s) {
-      if (!mask[s]) continue;
-      Simulator* core = cores_[s].get();
-      const RealTime run_to = RealTime::nanos(run_to_ns[s]);
-      std::exception_ptr* slot = &errors[s];
-      pool_->submit([core, run_to, slot] {
-        try {
-          core->run_until(run_to);
-        } catch (...) {
-          *slot = std::current_exception();
-        }
-      });
-    }
-    pool_->wait_idle();
-  } else {
-    // Zero or one core with work (or no pool): no join needed, run on
-    // the calling thread.
-    for (std::size_t s = 0; s < cores_.size(); ++s) {
-      if (!mask[s]) continue;
-      try {
-        cores_[s]->run_until(RealTime::nanos(run_to_ns[s]));
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    }
+    spin_then_park(remaining_, [](std::uint32_t r) { return r == 0; });
   }
   running_ = false;
   if (ran > 1) ++barriers_;
-  for (auto& error : errors) {
-    if (error) std::rethrow_exception(error);
+  for (auto& error : errors_) {
+    if (!error) continue;
+    const std::exception_ptr first = error;
+    std::fill(errors_.begin(), errors_.end(), nullptr);
+    std::rethrow_exception(first);
   }
 }
 
@@ -272,11 +331,26 @@ void ShardedSimulator::run_until(RealTime t) {
         }
       }
     }
-    // Per-core window ends and run decisions. A core runs only when its
-    // bound grants it work (or the final advance to t); skipped cores
-    // keep their clocks, and their contract bound stays at that clock so
-    // entries landing behind their granted-but-unused window still
-    // deliver.
+    // Per-core window ends and run decisions. A core has work when its
+    // bound grants it an event; the span cap then holds every core with
+    // work to one uniform window past its clock plus the smallest slack
+    // (bound minus clock) among them. The core with that slack is never
+    // cut, so every round still makes progress. A core runs only when its
+    // (capped) bound grants it work, or for the final advance to t;
+    // skipped cores keep their clocks, and their contract bound stays at
+    // that clock so entries landing behind their granted-but-unused
+    // window still deliver.
+    const auto grants_work = [&](std::size_t d, std::int64_t end) {
+      const std::int64_t run_to = end == t.ns ? end : end - 1;
+      return run_to >= cores_[d]->now().ns && t_min_scratch_[d] <= run_to;
+    };
+    std::int64_t min_slack = kInf;
+    for (std::size_t d = 0; d < k; ++d) {
+      const std::int64_t end = std::min(t.ns, eit_scratch_[d]);
+      if (grants_work(d, end)) {
+        min_slack = std::min(min_slack, end - cores_[d]->now().ns);
+      }
+    }
     run_to_scratch_.assign(k, 0);
     run_mask_.assign(k, 0);
     window_end_ns_.assign(k, 0);
@@ -284,10 +358,13 @@ void ShardedSimulator::run_until(RealTime t) {
     bool extended = false;
     std::size_t ran = 0;
     for (std::size_t d = 0; d < k; ++d) {
-      const std::int64_t end = std::min(t.ns, eit_scratch_[d]);
+      const std::int64_t now_d = cores_[d]->now().ns;
+      std::int64_t end = std::min(t.ns, eit_scratch_[d]);
+      if (grants_work(d, end) && end - now_d - min_slack > cfg_.window.ns) {
+        end = now_d + min_slack + cfg_.window.ns;
+      }
       const bool final_d = end == t.ns;
       all_final = all_final && final_d;
-      const std::int64_t now_d = cores_[d]->now().ns;
       const std::int64_t run_to = final_d ? end : end - 1;
       bool run = false;
       if (run_to >= now_d) {
@@ -305,7 +382,7 @@ void ShardedSimulator::run_until(RealTime t) {
     if (extended) ++adaptive_extensions_;
     SW_EXPECTS_MSG(ran > 0 || all_final,
                    "window fixpoint granted no core any work");
-    run_window(run_to_scratch_, run_mask_);
+    run_window();
     // A cross-shard entry can land exactly at t during the final window;
     // run_until(t) is inclusive, so re-run the window until none does.
     const bool rerun = merge_lanes();

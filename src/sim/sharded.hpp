@@ -1,8 +1,10 @@
 // Shard-parallel deterministic event execution (conservative PDES).
 //
 // A ShardedSimulator owns K independent sim::Simulator cores — each with
-// its own timer wheel and slab arena — and runs them on a ThreadPool in
-// barrier-synchronized windows. The protocol is the classic conservative
+// its own timer wheel and slab arena — and runs them on T threads in
+// barrier-synchronized windows. The calling thread is one of the T; the
+// other T-1 are persistent workers, and core i runs on thread i mod T for
+// the simulator's whole life. The protocol is the classic conservative
 // one, specialized to this codebase's topology:
 //
 //  * Event ownership is static: every event belongs to exactly one shard
@@ -16,21 +18,31 @@
 //    classic earliest-input-time relaxation
 //      eit[d] = min over s != d of (min(t_min[s], eit[s]) + L[s][d]),
 //    iterated to its fixpoint so reaction chains (s receives, then
-//    sends) are bounded transitively. Each core executes its events with
-//    timestamp < its window end, then the running cores meet at a
-//    barrier (ThreadPool::wait_idle). Cores whose bound grants no work
-//    skip the window entirely; a "barrier" is only counted when two or
-//    more cores actually run (a thread join happens).
+//    sends) are bounded transitively.
+//  * The granted spans are then capped: no core's window may reach more
+//    than one uniform `window` past its clock plus the smallest slack
+//    (bound minus clock) among the cores with work. Without the cap, a
+//    pair with asymmetric floors leapfrogs — the core behind a slow link
+//    runs a long window while its partner runs a short one, then they
+//    swap — so the two almost never overlap. With it they settle into a
+//    staggered schedule with equal spans per window, at about the same
+//    number of windows.
+//  * Each core executes its events with timestamp < its window end, then
+//    the running cores meet at a phase barrier: an atomic phase counter
+//    releases the workers, an atomic remaining count collects them, and
+//    each side spins briefly before parking on std::atomic::wait. Cores
+//    whose bound grants no work skip the window entirely; a "barrier" is
+//    only counted when two or more cores actually run.
 //  * An event that must run on another shard (a cross-shard frame
 //    delivery) is not scheduled directly — the sender enqueues it into
 //    the (source-shard, destination-shard) lane via cross_schedule().
 //    Lanes are single-writer per source shard, so enqueueing is lock-free
 //    by construction.
-//  * At the barrier the main thread drains every lane and schedules the
-//    entries into their destination cores in one deterministic order:
-//    (timestamp, source shard, per-source sequence number). The order is
-//    a pure function of simulation content — worker completion order,
-//    thread count, and lane drain order cannot affect it.
+//  * At the barrier the calling thread drains every lane and schedules
+//    the entries into their destination cores in one deterministic
+//    order: (timestamp, source shard, per-source sequence number). The
+//    order is a pure function of simulation content — worker completion
+//    order, thread count, and lane drain order cannot affect it.
 //
 // Correctness requires the lookahead contract: every cross-shard entry's
 // timestamp must lie at or beyond the window end its destination was
@@ -44,24 +56,23 @@
 // fallback is shards == 1.
 //
 // shards == 1 bypasses the machinery entirely (direct run_until on the
-// single core, zero overhead), which is what makes `sim_shards=1` output
-// the byte-identical reference for `sim_shards=N`.
+// single core, zero overhead, no worker threads), which is what makes
+// `sim_shards=1` output the byte-identical reference for `sim_shards=N`.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-
-namespace stopwatch {
-class ThreadPool;
-}  // namespace stopwatch
 
 namespace stopwatch::sim {
 
@@ -73,11 +84,13 @@ struct ShardedConfig {
   /// positive and no larger than the minimum cross-shard event latency.
   /// The cloud derives it from the link models; tests set it directly.
   Duration window{Duration::micros(100)};
-  /// Worker threads: 0 auto-sizes to min(shards, host cores) — a 1-CPU
-  /// host gets the inline path, and an 8-shard run on a 4-core host
-  /// gets 4 workers instead of 8 thrashing ones. 1 runs every window
-  /// inline on the calling thread (same results — useful for
-  /// debugging; results never depend on the thread count).
+  /// Threads that run the cores, the calling thread counted as one of
+  /// them (so T threads means T-1 workers). 0 auto-sizes to
+  /// min(shards, host cores) — a 1-CPU host gets the inline path, and an
+  /// 8-shard run on a 4-core host gets 4 threads instead of 8 thrashing
+  /// ones. Values above `shards` are clamped to it. 1 runs every window
+  /// inline on the calling thread (same results — useful for debugging;
+  /// results never depend on the thread count).
   std::size_t threads{0};
 };
 
@@ -85,6 +98,7 @@ struct ShardedConfig {
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(ShardedConfig cfg);
+  /// Stops and joins the worker threads.
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -117,20 +131,22 @@ class ShardedSimulator {
   [[nodiscard]] RealTime now() const { return shard(0).now(); }
 
   /// Hands an event from shard `src` to shard `dst` for time `at`. Safe
-  /// to call from shard `src`'s worker thread during a window (lanes are
-  /// single-writer per source). The lookahead contract requires `at` to
-  /// be at or beyond `dst`'s granted window end; violations throw a
+  /// to call from the thread running shard `src` during a window (lanes
+  /// are single-writer per source). The lookahead contract requires `at`
+  /// to be at or beyond `dst`'s granted window end; violations throw a
   /// ContractViolation naming both shards.
   void cross_schedule(int src, int dst, RealTime at, Task cb);
 
   /// Runs all cores to exactly `t` through barrier-synchronized windows
   /// whose per-core ends come from the earliest-input-time fixpoint.
   /// On return every core's clock reads `t` and every lane entry with
-  /// timestamp <= t has executed on its destination core.
+  /// timestamp <= t has executed on its destination core. An exception
+  /// thrown by a callback on any core (a lookahead violation, say) is
+  /// rethrown here after the window's barrier.
   void run_until(RealTime t);
 
-  /// True while worker threads are inside a window — shared-state
-  /// mutation from the main thread is illegal then.
+  /// True while the cores are inside a window — shared-state mutation
+  /// from the calling thread is illegal then.
   [[nodiscard]] bool running() const { return running_; }
 
   // --- Aggregate introspection (sum over cores) ---
@@ -139,12 +155,13 @@ class ShardedSimulator {
   /// Total entries handed across shards via cross_schedule.
   [[nodiscard]] std::uint64_t cross_scheduled() const { return crossed_; }
   /// Barriers executed so far: windows in which two or more cores ran
-  /// and met at a thread join. (Rounds that run a single lagging core
-  /// inline are not barriers — no join happens.)
+  /// and met. (Rounds that run a single lagging core are not counted,
+  /// whichever thread owns it — nothing runs beside it.)
   [[nodiscard]] std::uint64_t barriers() const { return barriers_; }
   /// Windows in which some core was granted a bound more than one
-  /// uniform window past its position (each one stands in for at least
-  /// one barrier a fixed-width window would have paid).
+  /// uniform window past its position, after the span cap (each one
+  /// stands in for at least one barrier a fixed-width window would have
+  /// paid).
   [[nodiscard]] std::uint64_t adaptive_extensions() const {
     return adaptive_extensions_;
   }
@@ -192,13 +209,21 @@ class ShardedSimulator {
   /// landed at or before its destination core's current clock (only
   /// possible at a final window, where it forces a re-run).
   bool merge_lanes();
-  /// One window: runs every core whose `mask` entry is set to its
-  /// `run_to_ns` entry on the pool (inline when only one runs),
-  /// collecting callback exceptions for re-raise on this thread.
-  /// Counts a barrier when two or more cores ran. `window_end_ns_` must
-  /// already hold the per-destination bounds for the contract check.
-  void run_window(const std::vector<std::int64_t>& run_to_ns,
-                  const std::vector<char>& mask);
+  /// One window: runs every core whose run_mask_ entry is set to its
+  /// run_to_scratch_ entry, each on the thread that owns it, and
+  /// rethrows the first callback exception on this thread after the
+  /// barrier. Counts a barrier when two or more cores ran.
+  /// `window_end_ns_` must already hold the per-destination bounds for
+  /// the contract check.
+  void run_window();
+  /// Runs the masked cores owned by thread `thread` (cores thread,
+  /// thread + T, ...), catching each core's exception into errors_.
+  void run_owned_cores(std::size_t thread);
+  /// Body of worker thread `thread` (1 <= thread < T): waits for a phase,
+  /// runs its cores, checks in at the barrier, until stop_ is set.
+  void worker_loop(std::size_t thread);
+  /// Sets stop_, releases the workers and joins them.
+  void stop_workers();
   /// The declared floor for src -> dst entries (window.ns when the pair
   /// has none), or kUnreachableNs.
   [[nodiscard]] std::int64_t lookahead_ns(int src, int dst) const;
@@ -215,7 +240,6 @@ class ShardedSimulator {
   /// Per-source-shard sequence counters (worker-confined like the lanes).
   std::vector<std::uint64_t> lane_seq_;
   std::vector<int> drain_order_;
-  std::unique_ptr<ThreadPool> pool_;
   BarrierHook hook_;
   std::uint64_t crossed_{0};
   std::uint64_t barriers_{0};
@@ -236,6 +260,22 @@ class ShardedSimulator {
   std::vector<std::int64_t> eit_scratch_;
   std::vector<std::int64_t> run_to_scratch_;
   std::vector<char> run_mask_;
+  /// Per-core callback exception of the window in flight; each slot is
+  /// written only by the core's owning thread, read after the barrier.
+  std::vector<std::exception_ptr> errors_;
+
+  // Phase barrier. The caller publishes a window by bumping phase_ (after
+  // setting remaining_ to the worker count); each worker runs its cores
+  // and decrements remaining_; the caller proceeds when it reads 0. The
+  // release/acquire pairs on the two atomics order every window's
+  // scratch writes and core mutations between the threads.
+  std::size_t threads_{1};
+  std::atomic<std::uint32_t> phase_{0};
+  std::atomic<std::uint32_t> remaining_{0};
+  bool stop_{false};  // written before the final phase bump
+  /// The T-1 workers; declared last so they start after, and are joined
+  /// before, every member they touch.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace stopwatch::sim

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -69,15 +70,16 @@ struct DiffHarness {
     if (rng.chance(0.35)) {
       const int target = static_cast<int>(rng.uniform_int(0, entities_ - 1));
       const std::int64_t draw = rng.uniform_int(0, 499);
-      // Beyond the lookahead (== window), odd, and with the arrival's
-      // half-tick residue mod entities_ pinned to the sender — so two
-      // sources can never collide on an arrival time, and same-source
-      // collisions order by send sequence under both kernels.
-      const std::int64_t half = (core.now().ns + kWindow.ns) / 2;
+      // Beyond the lookahead (the pair's lead), odd, and with the
+      // arrival's half-tick residue mod entities_ pinned to the sender —
+      // so two sources can never collide on an arrival time, and
+      // same-source collisions order by send sequence under both kernels.
+      const std::int64_t lead = lead_ns(e, target);
+      const std::int64_t half = (core.now().ns + lead) / 2;
       std::int64_t residue = (e - half) % entities_;
       if (residue < 0) residue += entities_;
       const std::int64_t at =
-          core.now().ns + kWindow.ns + 2 * (draw * entities_ + residue) + 1;
+          core.now().ns + lead + 2 * (draw * entities_ + residue) + 1;
       const std::uint64_t msg = ++sent_[eu];
       auto deliver = [this, target, e, msg] {
         logs_[static_cast<std::size_t>(target)].push_back(
@@ -96,6 +98,13 @@ struct DiffHarness {
     const Duration delay = Duration::nanos(2 * rng.uniform_int(1, 800));
     core.schedule_after(delay, [this, e] { tick(e); });
   }
+
+  /// Minimum delay of a message from entity `src` to entity `dst`. Must
+  /// be even (the parity trick) and depend only on the entities, so the
+  /// 1-shard reference sends at the same times; kWindow unless a test
+  /// declares slower pairs.
+  std::function<std::int64_t(int src, int dst)> lead_ns =
+      [](int, int) { return kWindow.ns; };
 
   int entities_;
   ShardedSimulator sim_;
@@ -358,6 +367,118 @@ TEST(ShardedSimulator, AggregateCountersSumOverCores) {
   EXPECT_EQ(h.sim_.events_executed(), executed);
   EXPECT_EQ(h.sim_.pending(), pending);  // lanes are empty between runs
   EXPECT_GT(h.sim_.cross_scheduled(), 0u);
+}
+
+TEST(ShardedSimulator, AsymmetricFloorsKeepBothCoresBusyEachWindow) {
+  // The cloud's floor shape on two cores: shard 0 reaches shard 1 at a
+  // short floor, shard 1 reaches shard 0 only at 15x that, and both run
+  // dense chains. Run to the earliest-input-time bounds alone, the pair
+  // leapfrogs — one core runs a long window while the other runs a
+  // short one, then they swap — so the busier core of each window does
+  // ~90% of all events and threads barely overlap. The span cap must
+  // keep the per-window work even: summed over windows, the larger of
+  // the two cores' event counts stays at most 60% of the total. The
+  // count is deterministic (thread count cannot change it).
+  constexpr std::int64_t kSlowLead = 15 * kWindow.ns;
+  const auto lead = [](int src, int dst) {
+    return src % 2 == 1 && dst % 2 == 0 ? kSlowLead : kWindow.ns;
+  };
+  const RealTime horizon = RealTime::nanos(4'000'000);
+  DiffHarness reference(1, 12, 21);
+  reference.lead_ns = lead;
+  reference.sim_.run_until(horizon);
+
+  DiffHarness sharded(2, 12, 21);
+  sharded.lead_ns = lead;
+  sharded.sim_.set_lookahead(0, 1, kWindow);
+  sharded.sim_.set_lookahead(1, 0, Duration::nanos(kSlowLead));
+  std::uint64_t prev0 = 0;
+  std::uint64_t prev1 = 0;
+  std::uint64_t busiest_sum = 0;
+  sharded.sim_.set_barrier_hook([&](RealTime) {
+    const std::uint64_t now0 = sharded.sim_.shard(0).events_executed();
+    const std::uint64_t now1 = sharded.sim_.shard(1).events_executed();
+    busiest_sum += std::max(now0 - prev0, now1 - prev1);
+    prev0 = now0;
+    prev1 = now1;
+  });
+  sharded.sim_.run_until(horizon);
+  expect_logs_equal(reference, sharded);
+  const std::uint64_t total = sharded.sim_.events_executed();
+  EXPECT_EQ(total, reference.sim_.events_executed());
+  EXPECT_GT(sharded.sim_.cross_scheduled(), 0u);
+  EXPECT_LE(static_cast<double>(busiest_sum),
+            0.6 * static_cast<double>(total))
+      << "busiest-core events per window summed: " << busiest_sum
+      << " of " << total;
+}
+
+TEST(ShardedSimulator, WorkerCoreViolationReachesCallerAndShutsDown) {
+  // Shard 1 runs on a worker thread whenever there are two or more
+  // threads. Its lookahead violation must surface from run_until on the
+  // calling thread, naming the pair, and the simulator must still stop
+  // and join its workers on destruction (a hang fails by timeout).
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ShardedSimulator sharded({3, kWindow, threads});
+    // Shard 0 has work, so it is granted a window to t_min(shard 1) +
+    // lookahead; shard 1's entry lands one nanosecond short of it.
+    sharded.shard(0).schedule_at(RealTime::nanos(50), [] {});
+    sharded.shard(0).schedule_at(RealTime::nanos(200), [] {});
+    sharded.shard(1).schedule_at(RealTime::nanos(100), [&sharded] {
+      sharded.cross_schedule(1, 0, RealTime::nanos(100 + kWindow.ns - 1),
+                             [] {});
+    });
+    try {
+      sharded.run_until(RealTime::nanos(20'000));
+      ADD_FAILURE() << "expected a ContractViolation";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("from shard 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("to shard 0"), std::string::npos) << what;
+    }
+    EXPECT_FALSE(sharded.running());
+  }
+}
+
+TEST(ShardedSimulator, ConstructAndDestroyWithoutRunning) {
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ShardedSimulator sharded({4, kWindow, threads});
+    EXPECT_EQ(sharded.shard_count(), 4);
+    EXPECT_EQ(sharded.barriers(), 0u);
+  }
+}
+
+TEST(ShardedSimulator, RepeatedRunUntilCallsMatchOneRun) {
+  // One simulator driven to the horizon in uneven steps: the workers
+  // persist across calls, and the result must equal one sequential run.
+  const RealTime horizon = RealTime::nanos(300'000);
+  DiffHarness reference(1, 12, 5);
+  reference.sim_.run_until(horizon);
+  DiffHarness stepped(3, 12, 5, /*threads=*/3);
+  for (const std::int64_t at : {1, 7'000, 7'001, 64'000, 150'000, 299'999}) {
+    stepped.sim_.run_until(RealTime::nanos(at));
+    EXPECT_EQ(stepped.sim_.now(), RealTime::nanos(at));
+  }
+  stepped.sim_.run_until(horizon);
+  stepped.sim_.run_until(horizon);  // a zero-length call is a no-op
+  expect_logs_equal(reference, stepped);
+  EXPECT_EQ(reference.sim_.events_executed(),
+            stepped.sim_.events_executed());
+}
+
+TEST(ShardedSimulator, MoreShardsThanThreadsMatchesOneCore) {
+  // Four cores on two threads: each thread owns two cores for good.
+  const RealTime horizon = RealTime::nanos(300'000);
+  DiffHarness reference(1, 12, 9);
+  reference.sim_.run_until(horizon);
+  DiffHarness sharded(4, 12, 9, /*threads=*/2);
+  sharded.sim_.run_until(horizon);
+  expect_logs_equal(reference, sharded);
+  EXPECT_EQ(reference.sim_.events_executed(),
+            sharded.sim_.events_executed());
+  EXPECT_GT(sharded.sim_.barriers(), 0u);
 }
 
 TEST(ShardedSimulator, RejectsInvalidConfig) {
