@@ -270,6 +270,23 @@ TEST(Cloud, ReplicaPlacementOnSameMachineRejected) {
                ContractViolation);
 }
 
+TEST(Cloud, RejectedAddVmLeavesNoEntryBehind) {
+  // A rejected placement must not consume a VM index: the index seeds the
+  // VM's deterministic RNG, so a retry has to behave like a fresh cloud.
+  Cloud cloud(stopwatch_config());
+  const auto factory = [] { return std::make_unique<EchoProgram>(); };
+  EXPECT_THROW(cloud.add_vm("dup", factory, {0, 0, 1}), ContractViolation);
+  EXPECT_THROW(cloud.add_vm("range", factory, {0, 1, 7}), ContractViolation);
+  const VmHandle vm = cloud.add_vm("ok", factory, {0, 1, 2});
+  EXPECT_EQ(vm.index, 0u);
+  EXPECT_EQ(cloud.topology().vm_count(), 1u);
+  std::uint64_t vms = 0;
+  for (const auto& [name, value] : cloud.observability().counters) {
+    if (name == "topology.vms") vms = value;
+  }
+  EXPECT_EQ(vms, 1u);
+}
+
 /// Expects Cloud(cfg) to throw a ContractViolation whose message mentions
 /// `needle` — misconfiguration must explain itself at the boundary instead
 /// of failing deep inside wiring.

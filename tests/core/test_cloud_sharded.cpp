@@ -276,6 +276,65 @@ TEST(CloudSharded, GuestTrafficToAVmOnAnotherShardThrowsNamingThePair) {
   });
 }
 
+/// Runs `fn` and returns the ContractViolation message it throws ("" and
+/// a test failure if it throws none).
+std::string violation_message(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a ContractViolation";
+  return "";
+}
+
+TEST(CloudSharded, ActivationRequiresLazyWiring) {
+  CloudConfig cfg = sharded_config(2);
+  cfg.wiring = WiringMode::kEager;
+  Cloud cloud(cfg);
+  const VmHandle vm = cloud.add_vm(
+      "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+  const std::string what =
+      violation_message([&] { cloud.activate_sharded({vm}); });
+  EXPECT_NE(what.find("WiringMode::kLazy"), std::string::npos) << what;
+}
+
+TEST(CloudSharded, ActivationRunsOnceAndBeforeStart) {
+  Cloud twice(sharded_config(2));
+  const VmHandle vm = twice.add_vm(
+      "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+  twice.activate_sharded({vm});
+  EXPECT_THROW(twice.activate_sharded({vm}), ContractViolation);
+
+  Cloud late(sharded_config(2));
+  const VmHandle v = late.add_vm(
+      "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+  late.start();
+  EXPECT_THROW(late.activate_sharded({v}), ContractViolation);
+}
+
+TEST(CloudSharded, DuplicateHandlesInTheActivationSetWireOnce) {
+  Cloud cloud(sharded_config(2));
+  const VmHandle vm = cloud.add_vm(
+      "echo", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+  cloud.activate_sharded({vm, vm});
+  EXPECT_TRUE(cloud.vm_materialized(vm));
+  EXPECT_EQ(cloud.topology().materialized_vm_count(), 1u);
+}
+
+TEST(CloudSharded, MaterializingOutsideTheLockedSetThrowsNamingTheVm) {
+  Cloud cloud(sharded_config(2));
+  const VmHandle active = cloud.add_vm(
+      "active", [] { return std::make_unique<EchoProgram>(); }, {0, 1, 2});
+  const VmHandle dormant = cloud.add_vm(
+      "dormant", [] { return std::make_unique<EchoProgram>(); }, {3, 4, 5});
+  cloud.activate_sharded({active});
+  const std::string what =
+      violation_message([&] { cloud.materialize(dormant); });
+  EXPECT_NE(what.find("'dormant'"), std::string::npos) << what;
+  EXPECT_FALSE(cloud.vm_materialized(dormant));
+}
+
 TEST(CloudSharded, RejectsNonPositiveShardCount) {
   CloudConfig cfg = sharded_config(0);
   EXPECT_THROW(Cloud{cfg}, ContractViolation);
