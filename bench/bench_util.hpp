@@ -70,6 +70,22 @@ struct TimingScenarioResult {
   bool deterministic{true};
 };
 
+/// Cloud config of a one-VM workload scenario on machines {0, 1, 2}: lazy
+/// wiring plus an explicit activation set (Cloud::activate_sharded), the
+/// same code path whether `sim_shards` is 1 or more, so the report is
+/// byte-identical across the knob (the shard-identity test pins this).
+inline core::CloudConfig workload_cloud_config(core::Policy policy,
+                                               std::uint64_t seed,
+                                               int sim_shards) {
+  core::CloudConfig cfg;
+  cfg.seed = seed;
+  cfg.policy = policy;
+  cfg.machine_count = 3;
+  cfg.wiring = core::WiringMode::kLazy;
+  cfg.sim_shards = sim_shards;
+  return cfg;
+}
+
 inline TimingScenarioResult run_timing_scenario(
     const TimingScenarioConfig& tc) {
   core::CloudConfig cfg;

@@ -32,15 +32,7 @@ struct Row {
 
 Row run_nfs(core::Policy policy, double rate, double run_time_s,
             std::uint64_t seed, int sim_shards) {
-  core::CloudConfig cfg;
-  cfg.seed = seed;
-  cfg.policy = policy;
-  cfg.machine_count = 3;
-  // Lazy wiring + an explicit activation set: the same code path whether
-  // sim_shards is 1 or more, so the report is byte-identical across the
-  // knob (the shard-identity test pins this).
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = sim_shards;
+  core::CloudConfig cfg = workload_cloud_config(policy, seed, sim_shards);
   // Server disk profile: write-cached / short-stroked (nhfsstone touches a
   // small working set), so the queue stays well under Δd at 400 ops/s.
   cfg.machine_template.disk_seek_min = Duration::micros(500);

@@ -33,15 +33,8 @@ AppResult run_app(const workload::ParsecAppSpec& spec, core::Policy policy,
   std::uint64_t disk_irqs = 0;
   obs::Snapshot last_obs;
   for (int run = 0; run < runs; ++run) {
-    core::CloudConfig cfg;
-    cfg.seed = seed + static_cast<std::uint64_t>(run);
-    cfg.policy = policy;
-    cfg.machine_count = 3;
-    // Lazy wiring + an explicit activation set: the same code path whether
-    // sim_shards is 1 or more, so the report is byte-identical across the
-    // knob (the shard-identity test pins this).
-    cfg.wiring = core::WiringMode::kLazy;
-    cfg.sim_shards = sim_shards;
+    core::CloudConfig cfg = workload_cloud_config(
+        policy, seed + static_cast<std::uint64_t>(run), sim_shards);
     // PARSEC profile: warm page cache / sequential readahead -> short
     // positioning times; Δd chosen as in Sec. VII-A (8-15 ms).
     cfg.machine_template.disk_seek_min = Duration::micros(500);

@@ -51,20 +51,6 @@ using leakage::TimingTap;
 
 constexpr std::size_t kReservoir = 8192;
 
-core::CloudConfig workload_cloud_config(core::Policy policy,
-                                        std::uint64_t seed, int shards) {
-  core::CloudConfig cfg;
-  cfg.seed = seed;
-  cfg.policy = policy;
-  cfg.machine_count = 3;
-  // Lazy wiring + an explicit activation set: the single guest VM spreads
-  // across the configured simulator cores exactly like placement_e2e, and
-  // the report stays byte-identical across shard counts.
-  cfg.wiring = core::WiringMode::kLazy;
-  cfg.sim_shards = shards;
-  return cfg;
-}
-
 /// File retrieval: secret = file size class {24, 72, 144} KiB.
 ObservationLog run_file(core::Policy policy, std::uint64_t seed, int trials,
                         int shards, obs::TimeSeries* series) {

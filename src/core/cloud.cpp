@@ -27,8 +27,7 @@ std::unique_ptr<hypervisor::MitigationPolicy> validated_policy(
                  "CloudConfig.machine_count must be >= 1 (got " +
                      std::to_string(cfg.machine_count) + ")");
   auto policy = hypervisor::make_policy(cfg.policy);
-  policy->validate_replicas("CloudConfig", cfg.replica_count,
-                            cfg.machine_count);
+  policy->validate_replicas(cfg.replica_count, cfg.machine_count);
   SW_EXPECTS_MSG(cfg.shard_size >= 1,
                  "CloudConfig.shard_size must be >= 1 (got " +
                      std::to_string(cfg.shard_size) + ")");
@@ -51,16 +50,15 @@ Cloud::Cloud(CloudConfig cfg)
       policy_(validated_policy(cfg)),
       root_rng_(cfg.seed),
       sharded_(sharded_config(cfg)),
-      net_(sharded_.shard(0), root_rng_.fork(0xF00D)),
+      net_(sharded_, root_rng_.fork(0xF00D)),
       trace_(obs::active_trace()),
-      table_(sharded_.shard(0), net_,
+      table_(sharded_, plan_, net_,
              topology::MachineTableConfig{cfg.machine_count, cfg.shard_size,
                                           cfg.seed, cfg.machine_template,
                                           cfg.clock_offset_spread},
              [this](int machine, const net::Frame& f) {
                on_machine_frame(machine, f);
              }) {
-  net_.attach_sharded(sharded_);
   net_.set_default_link(cfg_.cloud_link);
   // Eager mode reproduces the dense construction: machines (and their
   // network nodes) exist up front, then the egress node.
@@ -205,7 +203,7 @@ void Cloud::wire(std::uint32_t vm_index) {
   }
 
   // Control and ingress multicast groups (replicated policies only).
-  if (policy_->replicated() && replicas > 1) {
+  if (policy_->replicated()) {
     entry.control_group =
         std::make_unique<net::MulticastGroup>(net_, next_group_id_++);
     entry.ingress_group =
@@ -222,9 +220,10 @@ void Cloud::wire(std::uint32_t vm_index) {
 
   for (int r = 0; r < replicas; ++r) {
     const int m = entry.machines[static_cast<std::size_t>(r)];
-    hypervisor::GuestContextConfig gc = cfg_.guest_template;
+    hypervisor::GuestContextConfig gc;
     gc.policy = cfg_.policy;
     gc.replica_count = replicas;
+    gc.record_packet_traces = cfg_.record_packet_traces;
 
     sim::Simulator& core = core_of_machine(m);
     hypervisor::ReplicaServices services;
@@ -354,7 +353,6 @@ void Cloud::activate_sharded(const std::vector<VmHandle>& driven) {
   for (const std::uint32_t vm : active) groups.push_back(vm_machines(vm));
   plan_ = topology::ShardPlan::build(cfg_.sim_shards, cfg_.machine_count,
                                      groups);
-  table_.set_sharding(&sharded_, &plan_);
   // The egress gateway and every external endpoint leave core 0 together:
   // their nodes deliver — and the gate's clock reads and hold releases,
   // plus all driver scheduling via simulator(), run — on the plan's egress
@@ -614,16 +612,7 @@ void Cloud::on_egress_frame(const net::Frame& frame) {
         released_at,
         static_cast<std::uint64_t>(released_at - slot.first_copy_ns));
     if (hold.ns <= 0) {
-      if (egress_track_ != nullptr) {
-        egress_track_->instant(core.now().ns, "release", "vm", out->vm.value);
-      }
-      if (egress_tap_) egress_tap_(out->vm.value, core.now(), out->pkt);
-      net::Frame f;
-      f.src = egress_node_;
-      f.dst = out->pkt.dst;
-      f.size_bytes = out->pkt.size_bytes;
-      f.payload = net::GuestPacketPayload{out->pkt};
-      net_.send(std::move(f));
+      release_output(out->vm.value, out->pkt);
     } else {
       if (egress_track_ != nullptr) {
         // The hold is the attacker-relevant quantity: the span runs from
@@ -633,23 +622,27 @@ void Cloud::on_egress_frame(const net::Frame& frame) {
       }
       const std::uint32_t vm_index = out->vm.value;
       core.schedule_after(hold, [this, vm_index, pkt = out->pkt] {
-        const RealTime now = simulator().now();
-        if (egress_track_ != nullptr) {
-          egress_track_->instant(now.ns, "release", "vm", vm_index);
-        }
-        if (egress_tap_) egress_tap_(vm_index, now, pkt);
-        net::Frame f;
-        f.src = egress_node_;
-        f.dst = pkt.dst;
-        f.size_bytes = pkt.size_bytes;
-        f.payload = net::GuestPacketPayload{pkt};
-        net_.send(std::move(f));
+        release_output(vm_index, pkt);
       });
     }
   }
   if (slot.copies >= static_cast<int>(entry.replicas.size())) {
     entry.egress_slots.erase(out->out_seq);
   }
+}
+
+void Cloud::release_output(std::uint32_t vm, const net::Packet& pkt) {
+  const RealTime now = simulator().now();
+  if (egress_track_ != nullptr) {
+    egress_track_->instant(now.ns, "release", "vm", vm);
+  }
+  if (egress_tap_) egress_tap_(vm, now, pkt);
+  net::Frame f;
+  f.src = egress_node_;
+  f.dst = pkt.dst;
+  f.size_bytes = pkt.size_bytes;
+  f.payload = net::GuestPacketPayload{pkt};
+  net_.send(std::move(f));
 }
 
 obs::Snapshot Cloud::observability() {

@@ -2,11 +2,19 @@
 //
 // A Cloud owns the simulator, the network fabric, and the whole topology:
 // the sharded machine table (topology::MachineTable), the ingress and
-// egress nodes, and one VmEntry per guest VM. The mitigation backend is
-// chosen by CloudConfig::policy (hypervisor::PolicyConfig — see
-// src/hypervisor/policy.hpp). Under the StopWatch policy every guest
-// VM added is transparently replicated `replica_count` times across the
-// requested machines and wired into:
+// egress nodes, and one VmEntry per guest VM. It is the one place that
+// builds replicas (each replica's hypervisor::GuestContextConfig comes
+// from CloudConfig::policy, the effective replica count and
+// CloudConfig::record_packet_traces), machines and links. The kernel is
+// always a sim::ShardedSimulator — one shard is the sequential case — and
+// both the fabric and the machine table route through it, the table
+// following the cloud's ShardPlan (trivial until activate_sharded).
+//
+// The mitigation backend is chosen by CloudConfig::policy
+// (hypervisor::PolicyConfig — see src/hypervisor/policy.hpp). Under the
+// StopWatch policy every guest VM added is transparently replicated
+// `replica_count` times (at least three: the median of fewer is one
+// replica's timing) across the requested machines and wired into:
 //   * a per-VM ingress entry (its logical network address) that replicates
 //     every inbound packet to all hosting VMMs via reliable multicast
 //     (Sec. V);
@@ -98,8 +106,8 @@ struct CloudConfig {
   /// constructible from a PolicyKind; see hypervisor/policy.hpp).
   PolicyConfig policy{};
   /// Replicas per guest VM under replicated policies (3 in the paper, 5
-  /// for Sec. IX hardening). Ignored (forced to 1) under non-replicated
-  /// policies.
+  /// for Sec. IX hardening; at least 3, odd). Ignored (forced to 1) under
+  /// non-replicated policies.
   int replica_count{3};
   int machine_count{3};
   /// Machines per shard of the machine table.
@@ -108,7 +116,9 @@ struct CloudConfig {
   /// traffic (kLazy).
   WiringMode wiring{WiringMode::kEager};
   hypervisor::MachineConfig machine_template{};
-  hypervisor::GuestContextConfig guest_template{};
+  /// Keep each replica's per-packet protocol traces (the first 32 inbound
+  /// packets; GuestContextStats::packet_traces).
+  bool record_packet_traces{false};
   /// Intra-cloud links (machine <-> machine / ingress / egress).
   net::LinkModel cloud_link{Duration::micros(150), 0.15, 125e6, 0.0};
   /// External client links (the paper's campus-wireless client).
@@ -327,6 +337,9 @@ class Cloud {
   void on_ingress_packet(std::uint32_t vm_index, const net::Packet& pkt);
   void on_machine_frame(int machine_idx, const net::Frame& frame);
   void on_egress_frame(const net::Frame& frame);
+  /// Forwards a released output of VM `vm` from the egress node to its
+  /// destination, on the egress core (trace instant + egress tap first).
+  void release_output(std::uint32_t vm, const net::Packet& pkt);
 
   CloudConfig cfg_;
   /// The topology-level instance (egress release gating, capability

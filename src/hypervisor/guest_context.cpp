@@ -15,11 +15,6 @@ constexpr std::uint64_t kExitIntervalInstr = 100'000;
 constexpr Duration kTimerPeriod = Duration::micros(4000);
 /// Initial virtual-clock slope (ns of virtual time per instruction).
 constexpr double kInitialSlope = 1.0;
-
-std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 }  // namespace
 
 GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
@@ -38,7 +33,11 @@ GuestContext::GuestContext(VmId vm, ReplicaIndex replica, NodeId vm_addr,
       clock_(policy_->clock_mode(), [m = machine_] { return m->local_clock(); }) {
   SW_EXPECTS(cfg_.replica_count >= 1);
   SW_EXPECTS(services_.send_frame != nullptr);
-  if (policy_->replicated() && cfg_.replica_count > 1) {
+  if (policy_->replicated()) {
+    SW_EXPECTS_MSG(cfg_.replica_count >= 3,
+                   "GuestContextConfig.replica_count must be >= 3 under a "
+                   "replicated policy: a median of fewer votes is one "
+                   "replica's timing");
     SW_EXPECTS(services_.control_multicast != nullptr);
   }
   guest_ = std::make_unique<vm::GuestVm>(
@@ -62,7 +61,7 @@ void GuestContext::start(VirtTime start) {
   // Launch the beacon loop used for fastest-replica throttling. The loop
   // owns one arena slot for its whole life: each tick re-arms the same
   // event via reschedule_after instead of scheduling a fresh one.
-  if (policy_->replicated() && cfg_.replica_count > 1) {
+  if (policy_->replicated()) {
     beacon_event_ = sim_->schedule_after(policy_->sync_interval(),
                                          [this] { beacon_tick(); });
   }
@@ -172,7 +171,6 @@ void GuestContext::process_io_ops() {
       disk_slots_.push_back(slot);
     } else if (auto* sp = std::get_if<vm::SendPacketOp>(&op)) {
       ++out_seq_;
-      out_hash_chain_ = mix_hash(out_hash_chain_, sp->pkt.content_hash());
       out_hashes_.push_back(sp->pkt.content_hash());
       if (policy_->tunnels_output()) {
         net::Frame f;
@@ -262,7 +260,6 @@ void GuestContext::inject_due_interrupts() {
 }
 
 bool GuestContext::should_stall() const {
-  if (cfg_.replica_count <= 1) return false;
   if (peer_virt_ns_.size() + 1 <
       static_cast<std::size_t>(cfg_.replica_count)) {
     return false;  // not all peers known yet
@@ -451,15 +448,13 @@ void GuestContext::check_epoch(std::uint64_t exit_instr) {
 
   // Emit this epoch's report.
   epoch_end_virt_[epoch_index_] = clock_.at_instr(exit_instr).ns;
-  if (cfg_.replica_count > 1 && services_.control_multicast) {
-    net::EpochReport rep;
-    rep.vm = vm_;
-    rep.machine = machine_->id();
-    rep.epoch = epoch_index_;
-    rep.d_k = machine_->local_clock() - epoch_start_local_;
-    rep.r_k = machine_->local_clock();
-    services_.control_multicast(rep, 96);
-  }
+  net::EpochReport rep;
+  rep.vm = vm_;
+  rep.machine = machine_->id();
+  rep.epoch = epoch_index_;
+  rep.d_k = machine_->local_clock() - epoch_start_local_;
+  rep.r_k = machine_->local_clock();
+  services_.control_multicast(rep, 96);
   epoch_start_local_ = machine_->local_clock();
   ++epoch_index_;
 }

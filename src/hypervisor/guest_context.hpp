@@ -53,7 +53,7 @@ struct GuestContextConfig {
   /// policy.stopwatch; see hypervisor/policy.hpp).
   PolicyConfig policy{};
   /// Replicas per guest VM (3 in the paper; 5 hardens against Sec. IX).
-  /// Forced to 1 by non-replicated policies.
+  /// At least 3 under replicated policies; 1 under the others.
   int replica_count{3};
   /// Keep per-packet protocol traces (first 32 inbound packets).
   bool record_packet_traces{false};
@@ -155,12 +155,6 @@ class GuestContext final : public LoadSource {
   [[nodiscard]] VmId vm() const { return vm_; }
   [[nodiscard]] ReplicaIndex replica() const { return replica_; }
   [[nodiscard]] Machine& machine() { return *machine_; }
-  /// Rolling hash + count of emitted guest packets (replica-determinism
-  /// check: all replicas of a VM must agree at equal counts).
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> output_signature()
-      const {
-    return {out_hash_chain_, out_seq_};
-  }
   /// Per-packet output hashes, for prefix comparison across replicas.
   [[nodiscard]] const std::vector<std::uint64_t>& output_hashes() const {
     return out_hashes_;
@@ -246,7 +240,6 @@ class GuestContext final : public LoadSource {
 
   // Output path.
   std::uint64_t out_seq_{0};
-  std::uint64_t out_hash_chain_{0};
   std::vector<std::uint64_t> out_hashes_;
 
   // Peer tracking (throttle).

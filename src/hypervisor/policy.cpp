@@ -6,19 +6,25 @@
 
 namespace stopwatch::hypervisor {
 
-void MitigationPolicy::validate_replicas(const std::string& where,
-                                         int replica_count,
+void MitigationPolicy::validate_replicas(int replica_count,
                                          int machine_count) const {
   SW_EXPECTS_MSG(replica_count >= 1,
-                 where + ".replica_count must be >= 1 (got " +
+                 "CloudConfig.replica_count must be >= 1 (got " +
                      std::to_string(replica_count) + ")");
   SW_EXPECTS_MSG(replica_count % 2 == 1,
-                 where + ".replica_count must be odd for median "
-                         "agreement (got " +
+                 "CloudConfig.replica_count must be odd for median "
+                 "agreement (got " +
                      std::to_string(replica_count) + ")");
   if (replicated()) {
+    SW_EXPECTS_MSG(replica_count >= 3,
+                   "CloudConfig.replica_count must be >= 3 under policy '" +
+                       std::string(name()) + "' (got " +
+                       std::to_string(replica_count) +
+                       "): a median of fewer than three replicas is one "
+                       "replica's timing");
     SW_EXPECTS_MSG(replica_count <= machine_count,
-                   where + ".replica_count (" + std::to_string(replica_count) +
+                   "CloudConfig.replica_count (" +
+                       std::to_string(replica_count) +
                        ") cannot exceed machine_count (" +
                        std::to_string(machine_count) +
                        "): replicas must land on distinct machines");

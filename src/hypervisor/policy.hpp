@@ -177,12 +177,12 @@ class MitigationPolicy {
   [[nodiscard]] int effective_replicas(int requested) const {
     return replicated() ? requested : 1;
   }
-  /// Shared replica/machine validation; `where` prefixes the messages
-  /// ("CloudConfig"). The odd-count requirement is
+  /// CloudConfig's replica/machine validation (messages name
+  /// "CloudConfig.replica_count"). The odd-count requirement is
   /// unconditional (the knob must be a valid median width even where it is
-  /// ignored); the distinct-machines bound applies only when replicated.
-  void validate_replicas(const std::string& where, int replica_count,
-                         int machine_count) const;
+  /// ignored); the at-least-three and distinct-machines bounds apply only
+  /// when replicated.
+  void validate_replicas(int replica_count, int machine_count) const;
 
   // --- Inbound delivery times (guest-clock ns) ---
 

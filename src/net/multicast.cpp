@@ -153,12 +153,12 @@ void MulticastGroup::maybe_schedule_nak(MemberState& m, NodeId sender,
   if (rx.nak_event && sim.is_executing(*rx.nak_event)) {
     // Re-armed from the tail of the NAK timer itself (NAK or retransmission
     // may be lost): reuse its arena slot.
-    sim.reschedule_after(*rx.nak_event, nak_delay_);
+    sim.reschedule_after(*rx.nak_event, kNakDelay);
     return;
   }
   const NodeId member = m.node;
   rx.nak_event = sim.schedule_after(
-      nak_delay_, [this, member, sender] { on_nak_timer(member, sender); });
+      kNakDelay, [this, member, sender] { on_nak_timer(member, sender); });
 }
 
 void MulticastGroup::on_nak_timer(NodeId member, NodeId sender) {

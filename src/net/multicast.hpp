@@ -45,9 +45,6 @@ class MulticastGroup {
   /// of the node handler must route group frames here.
   void on_frame(NodeId member, const Frame& frame);
 
-  /// Time a receiver waits after detecting a gap before NAKing.
-  void set_nak_delay(Duration d) { nak_delay_ = d; }
-
   [[nodiscard]] std::uint64_t naks_sent() const { return naks_sent_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
 
@@ -85,6 +82,8 @@ class MulticastGroup {
   };
 
   static constexpr int kSpmAttempts = 8;
+  /// Time a receiver waits after detecting a gap before NAKing.
+  static constexpr Duration kNakDelay = Duration::micros(500);
 
   MemberState* find_member(NodeId node);
   void deliver_in_order(MemberState& m, NodeId sender,
@@ -97,7 +96,6 @@ class MulticastGroup {
 
   Network* net_;
   std::uint32_t group_id_;
-  Duration nak_delay_{Duration::micros(500)};
   Duration spm_interval_{Duration::millis(1)};
   std::vector<MemberState> members_;
   std::unordered_map<std::uint32_t, SenderState> senders_;  // by node id

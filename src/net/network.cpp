@@ -21,14 +21,8 @@ Duration LinkModel::min_latency() const {
                                   jitter_floor(jitter_sigma));
 }
 
-void Network::attach_sharded(sim::ShardedSimulator& sharded) {
-  SW_EXPECTS(!sharded.running());
-  sharded_ = &sharded;
-  sim_ = &sharded.shard(0);
-}
-
 NodeId Network::add_node(std::string name, Handler handler) {
-  SW_EXPECTS(sharded_ == nullptr || !sharded_->running());
+  SW_EXPECTS(!sharded_->running());
   const NodeId id{static_cast<std::uint32_t>(nodes_.size())};
   nodes_.push_back(Node{std::move(name), std::move(handler), {}, RealTime{},
                         rng_.fork(id.value), 0});
@@ -40,21 +34,14 @@ void Network::set_handler(NodeId node_id, Handler handler) {
 }
 
 void Network::set_node_owner(NodeId node_id, int shard) {
-  SW_EXPECTS(sharded_ == nullptr || !sharded_->running());
-  SW_EXPECTS(shard >= 0);
-  SW_EXPECTS(sharded_ == nullptr || shard < sharded_->shard_count());
-  SW_EXPECTS(sharded_ != nullptr || shard == 0);
+  SW_EXPECTS(!sharded_->running());
+  SW_EXPECTS(shard >= 0 && shard < sharded_->shard_count());
   node(node_id).owner = shard;
 }
 
 void Network::set_link(NodeId src, NodeId dst, LinkModel model) {
   SW_EXPECTS(src.value < nodes_.size() && dst.value < nodes_.size());
   links_[{src.value, dst.value}] = model;
-}
-
-void Network::set_link_bidirectional(NodeId a, NodeId b, LinkModel model) {
-  set_link(a, b, model);
-  set_link(b, a, model);
 }
 
 void Network::set_node_link(NodeId node_id, LinkModel model) {
@@ -148,7 +135,7 @@ bool Network::send(Frame frame) {
         d.stats.bytes_received += f->size_bytes;
         d.handler(*f);
       });
-  if (sharded_ != nullptr && dst.owner != src.owner) {
+  if (dst.owner != src.owner) {
     sharded_->cross_schedule(src.owner, dst.owner, arrival,
                              std::move(deliver));
   } else {

@@ -6,11 +6,12 @@
 // can be overridden (e.g., a slow "wireless client" hop as in the paper's
 // evaluation; fast intra-cloud links for VMM-to-VMM proposal traffic).
 //
-// Shard awareness: every node has an owner shard (default 0). With a
-// sim::ShardedSimulator attached, a frame between same-owner nodes is
-// scheduled directly on the owner's core, while a frame crossing shards
-// goes through the sharded kernel's deterministic (source shard,
-// destination shard) lanes. Stochastic draws (loss, jitter) come from a
+// Shard awareness: the fabric routes through the sim::ShardedSimulator it
+// is built on (one shard is the sequential case), and every node has an
+// owner shard (default 0). A frame between same-owner nodes is scheduled
+// directly on the owner's core, while a frame crossing shards goes
+// through the sharded kernel's deterministic (source shard, destination
+// shard) lanes. Stochastic draws (loss, jitter) come from a
 // per-node RNG stream forked from the fabric seed by node id — so the
 // draw sequence a node sees is a function of its own traffic only, never
 // of global send interleaving. That is what keeps an N-shard run
@@ -69,13 +70,11 @@ class Network {
  public:
   using Handler = std::function<void(const Frame&)>;
 
-  Network(sim::Simulator& sim, Rng rng) : sim_(&sim), rng_(std::move(rng)) {}
-
-  /// Routes frames through a sharded kernel: same-owner traffic schedules
-  /// on the owner's core, cross-owner traffic through the merge lanes.
-  /// The attached kernel's shard 0 replaces the construction-time
-  /// simulator as the default core (owners default to 0).
-  void attach_sharded(sim::ShardedSimulator& sharded);
+  /// Same-owner traffic schedules on the owner's core of `sharded`,
+  /// cross-owner traffic through its merge lanes. The kernel must outlive
+  /// the fabric.
+  Network(sim::ShardedSimulator& sharded, Rng rng)
+      : sharded_(&sharded), rng_(std::move(rng)) {}
 
   /// Registers a node; the handler is invoked on frame arrival.
   NodeId add_node(std::string name, Handler handler);
@@ -92,8 +91,6 @@ class Network {
 
   /// Sets the link model for the (src -> dst) direction.
   void set_link(NodeId src, NodeId dst, LinkModel model);
-  /// Sets the link model for both directions.
-  void set_link_bidirectional(NodeId a, NodeId b, LinkModel model);
   /// Default model for any frame with `node` as source or destination that
   /// has no explicit per-pair link. One entry covers a node's traffic with
   /// the whole cloud — O(1) state instead of a per-pair entry against every
@@ -117,7 +114,6 @@ class Network {
   [[nodiscard]] const NodeStats& stats(NodeId node) const;
   [[nodiscard]] const std::string& name(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   /// The simulator core that owns a node's events.
   [[nodiscard]] sim::Simulator& simulator_for(NodeId node_id) {
     return core_for(node(node_id).owner);
@@ -167,11 +163,10 @@ class Network {
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
   [[nodiscard]] sim::Simulator& core_for(int owner) {
-    return sharded_ ? sharded_->shard(owner) : *sim_;
+    return sharded_->shard(owner);
   }
 
-  sim::Simulator* sim_;
-  sim::ShardedSimulator* sharded_{nullptr};
+  sim::ShardedSimulator* sharded_;
   Rng rng_;
   /// Deque, not vector: handlers may register new nodes mid-delivery (lazy
   /// replica wiring materializes on first traffic), and a deque keeps the

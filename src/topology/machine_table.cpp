@@ -18,9 +18,14 @@ constexpr std::uint64_t kClockOffsetTag = 0xC10C0FF5ULL;
 
 }  // namespace
 
-MachineTable::MachineTable(sim::Simulator& sim, net::Network& net,
+MachineTable::MachineTable(sim::ShardedSimulator& sharded,
+                           const ShardPlan& plan, net::Network& net,
                            MachineTableConfig cfg, FrameHandler on_frame)
-    : sim_(&sim), net_(&net), cfg_(cfg), on_frame_(std::move(on_frame)) {
+    : sharded_(&sharded),
+      plan_(&plan),
+      net_(&net),
+      cfg_(cfg),
+      on_frame_(std::move(on_frame)) {
   SW_EXPECTS_MSG(cfg_.machine_count >= 1,
                  "MachineTableConfig.machine_count must be >= 1 (got " +
                      std::to_string(cfg_.machine_count) + ")");
@@ -31,13 +36,6 @@ MachineTable::MachineTable(sim::Simulator& sim, net::Network& net,
   const int shards =
       (cfg_.machine_count + cfg_.shard_size - 1) / cfg_.shard_size;
   shards_.resize(static_cast<std::size_t>(shards));
-}
-
-void MachineTable::set_sharding(sim::ShardedSimulator* sharded,
-                                const ShardPlan* plan) {
-  SW_EXPECTS((sharded == nullptr) == (plan == nullptr));
-  sharded_ = sharded;
-  plan_ = plan;
 }
 
 int MachineTable::shard_of(int machine) const {
@@ -73,18 +71,17 @@ void MachineTable::materialize_shard(int shard) {
         kMachineRngTag + static_cast<std::uint64_t>(idx);
     const std::uint64_t rng_seed = SplitMix64(cfg_.seed ^ tag).next();
     Slot& sl = s.slots[static_cast<std::size_t>(k)];
-    // Under a shard plan the machine's event core — and its network
-    // node's owner — is the plan's assignment; a machine stays a pure
-    // function of (seed, index) either way.
-    const int owner = plan_ != nullptr ? plan_->shard_of_machine(idx) : 0;
-    sim::Simulator& core =
-        sharded_ != nullptr ? sharded_->shard(owner) : *sim_;
+    // The machine's event core — and its network node's owner — is the
+    // plan's assignment; a machine stays a pure function of (seed, index)
+    // whichever core it lands on.
+    const int owner = plan_->shard_of_machine(idx);
     sl.machine = std::make_unique<hypervisor::Machine>(
-        MachineId{static_cast<std::uint32_t>(idx)}, core, mc, Rng(rng_seed));
+        MachineId{static_cast<std::uint32_t>(idx)}, sharded_->shard(owner), mc,
+        Rng(rng_seed));
     sl.node = net_->add_node(
         "machine-" + std::to_string(idx),
         [this, idx](const net::Frame& f) { on_frame_(idx, f); });
-    if (sharded_ != nullptr) net_->set_node_owner(sl.node, owner);
+    net_->set_node_owner(sl.node, owner);
   }
   s.materialized = true;
   ++materialized_shards_;

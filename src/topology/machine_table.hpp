@@ -9,6 +9,12 @@
 // RNG stream, its clock offset) is a pure function of (seed, index), so a
 // sharded table is observably identical to a dense one regardless of the
 // order shards materialize in.
+//
+// Each machine is built on — and its network node owned by — the
+// sim::ShardedSimulator core that the table's ShardPlan assigns it at
+// materialization time (core 0 for every machine under the trivial
+// one-shard plan). The plan is held by reference, so the owner can
+// install a real plan in place before any machine materializes.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +47,13 @@ class MachineTable {
   /// Invoked on every frame arriving at a machine's network node.
   using FrameHandler = std::function<void(int machine, const net::Frame&)>;
 
-  MachineTable(sim::Simulator& sim, net::Network& net, MachineTableConfig cfg,
+  /// `sharded`, `plan` and `net` must outlive the table.
+  MachineTable(sim::ShardedSimulator& sharded, const ShardPlan& plan,
+               net::Network& net, MachineTableConfig cfg,
                FrameHandler on_frame);
 
   MachineTable(const MachineTable&) = delete;
   MachineTable& operator=(const MachineTable&) = delete;
-
-  /// Routes future materializations through the sharded kernel: each
-  /// machine is built on (and its network node owned by) the simulator
-  /// core the plan assigns it. Must be called before any affected shard
-  /// materializes; both referents must outlive the table.
-  void set_sharding(sim::ShardedSimulator* sharded, const ShardPlan* plan);
 
   [[nodiscard]] int machine_count() const { return cfg_.machine_count; }
   [[nodiscard]] int shard_size() const { return cfg_.shard_size; }
@@ -93,9 +95,8 @@ class MachineTable {
   void materialize_shard(int shard);
   [[nodiscard]] Slot& slot(int machine);
 
-  sim::Simulator* sim_;
-  sim::ShardedSimulator* sharded_{nullptr};
-  const ShardPlan* plan_{nullptr};
+  sim::ShardedSimulator* sharded_;
+  const ShardPlan* plan_;
   net::Network* net_;
   MachineTableConfig cfg_;
   FrameHandler on_frame_;

@@ -29,7 +29,8 @@ ShardPlan ShardPlan::build(
   ShardPlan plan;
   plan.shards_ = shards;
   plan.machine_shard_.assign(static_cast<std::size_t>(machine_count), -1);
-  plan.loads_.assign(static_cast<std::size_t>(shards), 0);
+  // Machines per shard, planned components only.
+  std::vector<int> loads(static_cast<std::size_t>(shards), 0);
 
   // Union-find over the shares-a-machine graph of the active VMs.
   std::vector<int> parent(static_cast<std::size_t>(machine_count));
@@ -70,7 +71,6 @@ ShardPlan ShardPlan::build(
                    machines.end());
     ordered.push_back({root, std::move(machines)});
   }
-  plan.components_ = static_cast<int>(ordered.size());
 
   // Deterministic greedy balance: biggest components first (smallest root
   // breaks ties), each onto the least-loaded shard (lowest index breaks
@@ -86,23 +86,23 @@ ShardPlan ShardPlan::build(
   for (const auto& component : ordered) {
     int target = 0;
     for (int s = 1; s < shards; ++s) {
-      if (plan.loads_[static_cast<std::size_t>(s)] <
-          plan.loads_[static_cast<std::size_t>(target)]) {
+      if (loads[static_cast<std::size_t>(s)] <
+          loads[static_cast<std::size_t>(target)]) {
         target = s;
       }
     }
     for (const int m : component.machines) {
       plan.machine_shard_[static_cast<std::size_t>(m)] = target;
     }
-    plan.loads_[static_cast<std::size_t>(target)] +=
+    loads[static_cast<std::size_t>(target)] +=
         static_cast<int>(component.machines.size());
   }
   // Egress + external clients go to the least-loaded shard, ties to the
   // highest index: with shards > 1 that is never shard 0 when loads are
   // balanced, which removes the historical core-0 egress funnel.
   for (int s = 1; s < shards; ++s) {
-    if (plan.loads_[static_cast<std::size_t>(s)] <=
-        plan.loads_[static_cast<std::size_t>(plan.egress_shard_)]) {
+    if (loads[static_cast<std::size_t>(s)] <=
+        loads[static_cast<std::size_t>(plan.egress_shard_)]) {
       plan.egress_shard_ = s;
     }
   }
@@ -115,13 +115,6 @@ int ShardPlan::shard_of_machine(int machine) const {
   SW_EXPECTS(machine < static_cast<int>(machine_shard_.size()));
   const int assigned = machine_shard_[static_cast<std::size_t>(machine)];
   return assigned >= 0 ? assigned : machine % shards_;
-}
-
-bool ShardPlan::machine_planned(int machine) const {
-  if (machine_shard_.empty()) return false;
-  SW_EXPECTS(machine >= 0 &&
-             machine < static_cast<int>(machine_shard_.size()));
-  return machine_shard_[static_cast<std::size_t>(machine)] >= 0;
 }
 
 }  // namespace stopwatch::topology

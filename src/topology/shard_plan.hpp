@@ -32,14 +32,6 @@ class ShardPlan {
 
   [[nodiscard]] int shards() const { return shards_; }
   [[nodiscard]] int shard_of_machine(int machine) const;
-  /// True if the machine belongs to an active VM's component (false for
-  /// round-robin fallback assignments).
-  [[nodiscard]] bool machine_planned(int machine) const;
-  /// Connected components among the active machines (parallelism upper
-  /// bound: fewer components than shards leaves cores idle).
-  [[nodiscard]] int component_count() const { return components_; }
-  /// Machines per shard, planned components only (balance diagnostics).
-  [[nodiscard]] const std::vector<int>& shard_loads() const { return loads_; }
   /// Shard that owns the egress gateway and the external-client nodes:
   /// the least-loaded shard after the component deal, ties to the
   /// *highest* index — non-zero whenever shards > 1, so egress traffic
@@ -49,8 +41,6 @@ class ShardPlan {
  private:
   int shards_{1};
   std::vector<int> machine_shard_;  // -1 = unplanned (round-robin fallback)
-  std::vector<int> loads_;
-  int components_{0};
   int egress_shard_{0};
 };
 

@@ -339,6 +339,26 @@ TEST(Cloud, ConfigValidatedUpFrontWithClearMessages) {
   EXPECT_EQ(ok.machine_count(), 1);
 }
 
+TEST(Cloud, SingleReplicaStopWatchRejectedUpFront) {
+  // A median of one replica is that replica's own timing: StopWatch with
+  // replica_count = 1 is refused at construction, naming the field,
+  // instead of running until its first inbound packet.
+  CloudConfig cfg = stopwatch_config();
+  cfg.replica_count = 1;
+  expect_config_rejected(cfg, "CloudConfig.replica_count must be >= 3");
+
+  // The unreplicated backends run one replica by design.
+  for (const Policy policy :
+       {Policy::kBaselineXen, Policy::kDeterland, Policy::kTifcPacing}) {
+    CloudConfig single = stopwatch_config();
+    single.policy = policy;
+    single.replica_count = 1;
+    const EchoRun run = run_echo_cloud(single, 1, Duration::millis(10));
+    EXPECT_EQ(run.reply_seqs.size(), 1u)
+        << hypervisor::policy_choice_name(policy);
+  }
+}
+
 TEST(Cloud, FiveReplicaCloudWorks) {
   CloudConfig cfg = stopwatch_config();
   cfg.machine_count = 5;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "hypervisor/machine.hpp"
 #include "sim/simulator.hpp"
 
@@ -290,6 +291,12 @@ TEST(GuestContext, BaselineDeliversAfterProcessingDelay) {
   ASSERT_EQ(h.program->packet_seqs.size(), 1u);
   // Delivery ~5 ms + 50 us Dom0 + exit quantization.
   EXPECT_NEAR(static_cast<double>(h.program->packet_virt_ns[0]), 5.05e6, 2e5);
+}
+
+TEST(GuestContext, ReplicatedPolicyRequiresThreeReplicas) {
+  GuestContextConfig cfg = stopwatch_cfg();
+  cfg.replica_count = 1;
+  EXPECT_THROW({ Harness h(cfg); }, ContractViolation);
 }
 
 TEST(GuestContext, ThrottleStallsFastestReplica) {

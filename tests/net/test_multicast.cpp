@@ -11,8 +11,9 @@ namespace {
 /// Test fixture with three members wired like a replica VMM trio, routing
 /// group frames through MulticastGroup::on_frame as the Cloud does.
 struct TrioFixture {
-  sim::Simulator sim;
-  Network net{sim, Rng(7)};
+  sim::ShardedSimulator sharded{sim::ShardedConfig{}};
+  sim::Simulator& sim{sharded.shard(0)};
+  Network net{sharded, Rng(7)};
   MulticastGroup group{net, 1};
   std::vector<NodeId> members;
   // received[member] = list of (sender, proposal seq).

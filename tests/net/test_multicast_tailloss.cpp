@@ -13,8 +13,9 @@ namespace stopwatch::net {
 namespace {
 
 struct Pair {
-  sim::Simulator sim;
-  Network net{sim, Rng(17)};
+  sim::ShardedSimulator sharded{sim::ShardedConfig{}};
+  sim::Simulator& sim{sharded.shard(0)};
+  Network net{sharded, Rng(17)};
   MulticastGroup group{net, 2};
   NodeId sender{}, receiver{};
   std::vector<std::uint64_t> delivered;

@@ -8,8 +8,9 @@ namespace stopwatch::net {
 namespace {
 
 struct Fixture {
-  sim::Simulator sim;
-  Network net{sim, Rng(1234)};
+  sim::ShardedSimulator sharded{sim::ShardedConfig{}};
+  sim::Simulator& sim{sharded.shard(0)};
+  Network net{sharded, Rng(1234)};
 };
 
 Frame guest_frame(NodeId src, NodeId dst, std::uint32_t bytes) {

@@ -15,14 +15,16 @@ namespace {
 
 struct Fixture {
   explicit Fixture(int machines, int shard_size, std::uint64_t seed = 7)
-      : table(sim, net,
+      : table(sharded, plan, net,
               MachineTableConfig{machines, shard_size, seed,
                                  hypervisor::MachineConfig{},
                                  Duration::millis(40)},
               [this](int, const net::Frame&) { ++frames; }) {}
 
-  sim::Simulator sim;
-  net::Network net{sim, Rng(99)};
+  sim::ShardedSimulator sharded{sim::ShardedConfig{}};
+  sim::Simulator& sim{sharded.shard(0)};
+  ShardPlan plan;
+  net::Network net{sharded, Rng(99)};
   int frames{0};
   MachineTable table;
 };
@@ -115,17 +117,18 @@ TEST(MachineTable, MachineNodesReceiveFrames) {
 }
 
 TEST(MachineTable, RejectsBadConfigWithClearMessage) {
-  sim::Simulator sim;
-  net::Network net{sim, Rng(1)};
+  sim::ShardedSimulator sharded{sim::ShardedConfig{}};
+  const ShardPlan plan;
+  net::Network net{sharded, Rng(1)};
   try {
-    MachineTable bad(sim, net, MachineTableConfig{0, 8, 1, {}, {}},
+    MachineTable bad(sharded, plan, net, MachineTableConfig{0, 8, 1, {}, {}},
                      [](int, const net::Frame&) {});
     FAIL() << "expected ContractViolation";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("machine_count"), std::string::npos);
   }
   try {
-    MachineTable bad(sim, net, MachineTableConfig{4, 0, 1, {}, {}},
+    MachineTable bad(sharded, plan, net, MachineTableConfig{4, 0, 1, {}, {}},
                      [](int, const net::Frame&) {});
     FAIL() << "expected ContractViolation";
   } catch (const ContractViolation& e) {
